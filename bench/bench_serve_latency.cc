@@ -3,12 +3,14 @@
 // connections, plus a batched-vs-unbatched admission comparison.
 //
 // The headline number is `serve_batch_speedup`: query throughput of the
-// tick-batched server (tick coalescing into OnQueryBatch) over the same
-// server with --tick-us 0 --max-batch 1 (every admission processed
-// alone). Being a ratio of two rates from the same run it cancels most
-// machine noise; it is the acceptance gate for the serving data plane's
-// batching claim. Latency percentiles are reported for context (open-loop
-// flood, so they measure queueing + service, not paced tail latency).
+// server at --max-batch 64 (whatever queued while the previous batch ran
+// coalesces into one OnQueryBatch call) over the same server at
+// --max-batch 1 (every query processed alone), with the same module,
+// connections and flood. Being a ratio of two rates from the same run
+// it cancels most machine noise; it is the acceptance gate for the
+// serving data plane's batching claim. Latency percentiles are reported
+// for context (open-loop flood, so they measure queueing + service, not
+// paced tail latency).
 //
 // Honours LATEST_BENCH_SCALE (scales the scenario's object volume).
 
@@ -59,8 +61,7 @@ struct RunResult {
 /// One fresh module + server + loadgen flood at `connections`. A fresh
 /// module per run keeps the lifecycle (pretrain -> incremental) identical
 /// across configurations, so the rates are comparable.
-RunResult RunOne(uint32_t connections, uint32_t tick_us, uint32_t max_batch,
-                 uint64_t objects) {
+RunResult RunOne(uint32_t connections, uint32_t max_batch, uint64_t objects) {
   auto created = core::LatestModule::Create(ServeModuleConfig(5));
   if (!created.ok()) {
     std::fprintf(stderr, "module: %s\n",
@@ -70,7 +71,6 @@ RunResult RunOne(uint32_t connections, uint32_t tick_us, uint32_t max_batch,
   auto module = std::move(created).value();
 
   net::ServeServerConfig serve_config;
-  serve_config.batcher.tick_us = tick_us;
   serve_config.batcher.max_batch = max_batch;
   serve_config.max_connections = 256;
   net::ServeServer server(serve_config, module.get());
@@ -123,13 +123,12 @@ int main() {
   std::printf("objects per run: %llu\n\n",
               static_cast<unsigned long long>(objects));
 
-  const uint32_t kTickUs = 2000;
   const uint32_t kMaxBatch = 64;
 
   RunResult by_conns[3];
   const uint32_t conn_counts[3] = {1, 16, 64};
   for (int i = 0; i < 3; ++i) {
-    by_conns[i] = RunOne(conn_counts[i], kTickUs, kMaxBatch, objects);
+    by_conns[i] = RunOne(conn_counts[i], kMaxBatch, objects);
     std::printf(
         "%2u conns: %10.0f qps   p50 %7.3f ms   p95 %7.3f ms   "
         "p99 %7.3f ms   queue-wait p99 %7.3f ms\n",
@@ -144,18 +143,17 @@ int main() {
   double unbatched_qps = 0.0;
   for (int pass = 0; pass < 2; ++pass) {
     batched_qps = std::max(
-        batched_qps, RunOne(16, kTickUs, kMaxBatch, objects).qps);
+        batched_qps, RunOne(16, kMaxBatch, objects).qps);
     unbatched_qps = std::max(
-        unbatched_qps,
-        RunOne(16, /*tick_us=*/0, /*max_batch=*/1, objects).qps);
+        unbatched_qps, RunOne(16, /*max_batch=*/1, objects).qps);
   }
   const double speedup =
       unbatched_qps > 0.0 ? batched_qps / unbatched_qps : 0.0;
   std::printf(
-      "\nbatched (tick %u us, K=%u): %10.0f qps\n"
-      "unbatched (tick 0, K=1):    %10.0f qps\n"
+      "\nbatched (K=%u):  %10.0f qps\n"
+      "unbatched (K=1): %10.0f qps\n"
       "batch speedup: %.2fx\n",
-      kTickUs, kMaxBatch, batched_qps, unbatched_qps, speedup);
+      kMaxBatch, batched_qps, unbatched_qps, speedup);
 
   std::printf(
       "RESULT_JSON {\"experiment\":\"serve_latency\",\"objects\":%llu,"

@@ -81,7 +81,7 @@ METRIC_SPECS = {
     # on shared runners is worse than CPU-bound noise, so the rate bands
     # are wide; the batched/unbatched ratio comes from the same machine
     # in the same run and gates the admission-batching claim itself —
-    # below 1.0 the tick batcher would be pure overhead. Latency
+    # below 1.0 batching would be pure overhead. Latency
     # percentiles stay informational (open-loop flood measurements).
     "conns1_qps": ("higher", 0.40),
     "conns16_qps": ("higher", 0.40),
@@ -90,7 +90,7 @@ METRIC_SPECS = {
     "serve_unbatched_qps": ("higher", 0.40),
     "serve_batch_speedup": ("higher", 0.20),
     # Server-attributed admission queue wait (query class, 16 conns,
-    # tracing disabled): the component of end-to-end latency the tick
+    # tracing disabled): the component of end-to-end latency the
     # batcher controls. An open-loop flood measurement on a shared
     # runner, so the band is the widest in the file — it exists to catch
     # an always-on tracing cost creeping into the admission path (a

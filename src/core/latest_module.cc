@@ -1031,7 +1031,7 @@ void LatestModule::OnQueryBatch(const stream::Query* queries, size_t k,
                                 QueryStageBreakdown* stages) {
   if (k == 0) return;
   if (k == 1) {
-    // Degenerate tick: identical code path to the unbatched API.
+    // Single-query batch: identical code path to the unbatched API.
     outcomes[0] = OnQuery(queries[0], tokenize_ms ? tokenize_ms[0] : 0.0);
     if (stages != nullptr) stages[0] = last_stage_breakdown_;
     return;

@@ -282,7 +282,7 @@ class LatestModule {
   /// interning time to the query's trace (0 for pre-interned queries).
   QueryOutcome OnQuery(const stream::Query& q, double tokenize_ms = 0.0);
 
-  /// Answers `k` queries admitted as one batch (the serving plane's tick).
+  /// Answers `k` queries admitted as one batch (one serving-plane batch).
   /// Ground truth for the whole batch is computed first through
   /// ExactEvaluator::TrueSelectivityBatch — so the batch kernels see real
   /// batches — then per-query clock advance, estimation, training, and

@@ -46,32 +46,19 @@ AdmitResult Batcher::Admit(AdmittedEvent event, bool degraded,
           std::chrono::steady_clock::now().time_since_epoch())
           .count();
   if (event.arrival_micros == 0) event.arrival_micros = event.admit_micros;
+  const bool was_empty = fifo_.empty();
   fifo_.push_back(std::move(event));
-  const bool fire_now =
-      pending_query_ >= config_.max_batch || config_.tick_us == 0;
-  const bool first_event = pending_ingest_ + pending_query_ == 1;
   lock.unlock();
-  // The consumer only sleeps on an empty queue (first event) or inside
-  // the tick window (batch-ready); waking it for every admission would
-  // thrash the tick.
-  if (fire_now || first_event) cv_.notify_one();
+  // The consumer only sleeps on an empty queue.
+  if (was_empty) cv_.notify_one();
   return AdmitResult::kAdmitted;
 }
 
 bool Batcher::WaitForBatch(std::vector<AdmittedEvent>* out) {
   out->clear();
   std::unique_lock<std::mutex> lock(mu_);
-  // Wait for any work (or shutdown) first, then give the tick window a
-  // chance to coalesce more queries before draining.
   cv_.wait(lock, [this] { return stopped_ || !fifo_.empty(); });
   if (fifo_.empty()) return false;  // Stopped and drained.
-  if (config_.tick_us > 0) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(config_.tick_us);
-    cv_.wait_until(lock, deadline, [this] {
-      return stopped_ || pending_query_ >= config_.max_batch;
-    });
-  }
   const size_t query_cap = std::max<uint32_t>(1, config_.max_batch);
   const int64_t dequeue_micros =
       std::chrono::duration_cast<std::chrono::microseconds>(

@@ -1,10 +1,13 @@
-// Tick-based admission for the serving data plane.
+// Load-proportional admission for the serving data plane.
 //
 // The IO thread admits decoded INGEST/QUERY frames into one ordered FIFO
 // (arrival order is preserved end-to-end, so a single connection's
 // request sequence replays deterministically through the module). The
-// batch thread blocks in WaitForBatch until a tick elapses or enough
-// queries are pending, then drains a prefix of the FIFO as one batch.
+// batch thread blocks in WaitForBatch only while the FIFO is empty, then
+// drains whatever is queued as one batch, with no timer. At light load a
+// batch is the one event that woke it; under load, events pile up while
+// the previous batch runs through the module, so batches fill by
+// themselves (adaptive batching as in Clipper, NSDI '17).
 //
 // Admission is where load shedding happens: both classes are bounded,
 // QUERY sheds before INGEST (dropping ingest corrupts the ground-truth
@@ -38,7 +41,7 @@ struct AdmittedEvent {
   /// Wire trace context (zero/unsampled when the client sent none).
   uint64_t trace_id = 0;
   bool trace_sampled = false;
-  /// Tick stamps, microseconds on the steady clock (same domain as
+  /// Stage stamps, microseconds on the steady clock (same domain as
   /// obs::SpanCollector::NanosFromSteadyMicros): socket readability,
   /// FIFO admission, batch-drain dequeue. arrival==admit when decode
   /// and admission happen inline on the IO thread (they do today);
@@ -49,12 +52,8 @@ struct AdmittedEvent {
 };
 
 struct BatcherConfig {
-  /// Tick period: queries admitted within one tick coalesce into one
-  /// OnQueryBatch call. 0 fires as soon as the batch thread is free
-  /// (with max_batch 1 that degenerates to unbatched serving).
-  uint32_t tick_us = 2000;
-
-  /// Queries per batch cap; reaching it fires the tick early.
+  /// Queries per batch cap; ingests between them pass uncapped. 1 gives
+  /// unbatched serving (one OnQueryBatch call per query).
   uint32_t max_batch = 64;
 
   /// Bounded queue capacities (events, per class).
@@ -72,8 +71,9 @@ enum class AdmitResult : uint8_t {
   kShedIngest,  // Ingest queue full: RETRY_LATER.
 };
 
-/// Thread-safe bounded admission queue with tick-batched draining.
-/// One producer side (any thread), one consumer (the batch thread).
+/// Thread-safe bounded admission queue, drained as fast as the consumer
+/// frees up. One producer side (any thread), one consumer (the batch
+/// thread).
 class Batcher {
  public:
   explicit Batcher(const BatcherConfig& config);
@@ -83,12 +83,11 @@ class Batcher {
   AdmitResult Admit(AdmittedEvent event, bool degraded,
                     uint32_t* backoff_hint_ms);
 
-  /// Blocks until a batch is ready (tick deadline reached with pending
-  /// events, query occupancy hit max_batch, or Stop with a non-empty
-  /// queue), then moves an in-order prefix containing at most max_batch
-  /// queries into `*out`. Returns false only when stopped and fully
-  /// drained — the clean-shutdown contract: every admitted event is
-  /// either batched or the caller sees false.
+  /// Blocks until at least one event is queued (or Stop), then moves the
+  /// in-order FIFO prefix containing at most max_batch queries into
+  /// `*out`. Returns false only when stopped and fully drained — the
+  /// clean-shutdown contract: every admitted event is either batched or
+  /// the caller sees false.
   bool WaitForBatch(std::vector<AdmittedEvent>* out);
 
   /// Wakes WaitForBatch; subsequent Admit calls shed everything.

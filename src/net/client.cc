@@ -1,5 +1,6 @@
 #include "net/client.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <cerrno>
@@ -64,6 +65,14 @@ util::Status ServeClient::SendStatus(const StatusRequest& req) {
   std::string bytes;
   EncodeStatus(req, &bytes);
   return SendRaw(bytes);
+}
+
+bool ServeClient::WaitReadable(int64_t timeout_micros) {
+  if (reader_.buffered_bytes() > 0) return true;
+  pollfd pfd{fd_.get(), POLLIN, 0};
+  const timespec timeout{static_cast<time_t>(timeout_micros / 1000000),
+                         static_cast<long>(timeout_micros % 1000000 * 1000)};
+  return ::ppoll(&pfd, 1, &timeout, nullptr) > 0;
 }
 
 util::Result<ServeResponse> ServeClient::ReadResponse() {

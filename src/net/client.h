@@ -55,6 +55,10 @@ class ServeClient {
   /// Sends pre-encoded frame bytes as-is (batched pipelining).
   util::Status SendRaw(const std::string& bytes);
 
+  /// True once a response can be read: bytes are already buffered, or
+  /// the socket turns readable within `timeout_micros`.
+  bool WaitReadable(int64_t timeout_micros);
+
   /// Blocks for the next complete response frame. Fails on timeout,
   /// connection loss, or a malformed frame from the server.
   util::Result<ServeResponse> ReadResponse();

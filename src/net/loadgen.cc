@@ -51,6 +51,7 @@ struct WorkerResult {
   uint64_t errors = 0;
   uint64_t protocol_errors = 0;
   bool traced = false;
+  double max_lateness_ms = 0.0;
   std::vector<double> latencies_ms;
   std::vector<double> ingest_latencies_ms;
 };
@@ -68,12 +69,22 @@ void RunWorker(const LoadgenConfig& config,
   }
   result->traced = client.value()->trace_enabled();
 
-  // request_id -> send time (micros) for in-flight requests, per class.
-  std::unordered_map<uint64_t, int64_t> inflight_query_sent;
-  std::unordered_map<uint64_t, int64_t> inflight_ingest_sent;
+  // request_id -> start time (micros) of each in-flight request: its due
+  // time when paced, so falling behind the schedule shows up as latency;
+  // its send time when flooding.
+  std::unordered_map<uint64_t, int64_t> inflight_start;
   uint64_t outstanding = 0;
   uint64_t next_seq = 1;
   const uint64_t id_base = static_cast<uint64_t>(worker_index + 1) << 48;
+
+  const auto record_latency = [&](uint64_t request_id,
+                                  std::vector<double>* latencies_ms) {
+    const auto it = inflight_start.find(request_id);
+    if (it == inflight_start.end()) return;
+    latencies_ms->push_back(
+        static_cast<double>(NowMicros() - it->second) / 1000.0);
+    inflight_start.erase(it);
+  };
 
   auto handle_response = [&]() -> bool {
     auto resp = client.value()->ReadResponse();
@@ -83,35 +94,19 @@ void RunWorker(const LoadgenConfig& config,
     }
     if (outstanding > 0) --outstanding;
     switch (resp->type) {
-      case FrameType::kQueryResponse: {
+      case FrameType::kQueryResponse:
         ++result->queries_answered;
-        const auto it = inflight_query_sent.find(resp->query.request_id);
-        if (it != inflight_query_sent.end()) {
-          result->latencies_ms.push_back(
-              static_cast<double>(NowMicros() - it->second) / 1000.0);
-          inflight_query_sent.erase(it);
-        }
+        record_latency(resp->query.request_id, &result->latencies_ms);
         break;
-      }
-      case FrameType::kIngestAck: {
+      case FrameType::kIngestAck:
         ++result->ingests_acked;
-        const auto it = inflight_ingest_sent.find(resp->ack.request_id);
-        if (it != inflight_ingest_sent.end()) {
-          result->ingest_latencies_ms.push_back(
-              static_cast<double>(NowMicros() - it->second) / 1000.0);
-          inflight_ingest_sent.erase(it);
-        }
+        record_latency(resp->ack.request_id, &result->ingest_latencies_ms);
         break;
-      }
       case FrameType::kRetryLater:
         ++result->shed;
-        inflight_query_sent.erase(resp->retry.request_id);
-        inflight_ingest_sent.erase(resp->retry.request_id);
+        inflight_start.erase(resp->retry.request_id);
         break;
-      case FrameType::kError:
-        ++result->protocol_errors;
-        return false;
-      default:
+      default:  // ERROR or an unexpected frame type.
         ++result->protocol_errors;
         return false;
     }
@@ -124,26 +119,25 @@ void RunWorker(const LoadgenConfig& config,
        i += config.connections) {
     const workload::ScenarioEvent& event = events[i];
 
-    // Open-loop pacing against the scenario's event-time axis.
+    // Open-loop pacing against the scenario's event-time axis. Responses
+    // that land while waiting for the due time are read at once, so
+    // they are timed on arrival rather than when the window fills.
+    int64_t due_micros = 0;
     if (config.speedup > 0.0) {
       const int64_t event_ts =
           event.is_query ? event.query.timestamp : event.object.timestamp;
-      const int64_t due_micros =
-          start_micros +
-          static_cast<int64_t>(static_cast<double>(event_ts) * 1000.0 /
-                               config.speedup);
-      const int64_t now = NowMicros();
-      if (due_micros > now) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(due_micros - now));
+      due_micros = start_micros +
+                   static_cast<int64_t>(static_cast<double>(event_ts) *
+                                        1000.0 / config.speedup);
+      for (int64_t now = NowMicros(); transport_ok && now < due_micros;
+           now = NowMicros()) {
+        if (client.value()->WaitReadable(due_micros - now)) {
+          transport_ok = handle_response();
+        }
       }
     }
-
-    while (outstanding >= config.max_outstanding) {
-      if (!handle_response()) {
-        transport_ok = false;
-        break;
-      }
+    while (transport_ok && outstanding >= config.max_outstanding) {
+      transport_ok = handle_response();
     }
     if (!transport_ok) break;
 
@@ -156,30 +150,26 @@ void RunWorker(const LoadgenConfig& config,
       trace.sampled = config.trace_sample_every != 0 &&
                       seq % config.trace_sample_every == 0;
     }
-    util::Status sent;
-    if (event.is_query) {
-      inflight_query_sent.emplace(request_id, NowMicros());
-      sent = client.value()->SendQuery({request_id, event.query, trace});
-      if (sent.ok()) {
-        ++result->queries_sent;
-        ++outstanding;
-      } else {
-        inflight_query_sent.erase(request_id);
-      }
-    } else {
-      inflight_ingest_sent.emplace(request_id, NowMicros());
-      sent = client.value()->SendIngest({request_id, event.object, trace});
-      if (sent.ok()) {
-        ++result->ingests_sent;
-        ++outstanding;
-      } else {
-        inflight_ingest_sent.erase(request_id);
-      }
+    const int64_t send_micros = NowMicros();
+    if (due_micros > 0) {
+      result->max_lateness_ms =
+          std::max(result->max_lateness_ms,
+                   static_cast<double>(send_micros - due_micros) / 1000.0);
     }
+    inflight_start.emplace(request_id,
+                           due_micros > 0 ? due_micros : send_micros);
+    const util::Status sent =
+        event.is_query
+            ? client.value()->SendQuery({request_id, event.query, trace})
+            : client.value()->SendIngest({request_id, event.object, trace});
     if (!sent.ok()) {
+      inflight_start.erase(request_id);
       ++result->errors;
       transport_ok = false;
+      break;
     }
+    ++(event.is_query ? result->queries_sent : result->ingests_sent);
+    ++outstanding;
   }
 
   // Drain every outstanding response (bounded by the socket timeout).
@@ -232,6 +222,8 @@ util::Result<LoadgenReport> RunLoadgen(const LoadgenConfig& config) {
     report.errors += r.errors;
     report.protocol_errors += r.protocol_errors;
     if (r.traced) ++report.traced_connections;
+    report.max_lateness_ms = std::max(report.max_lateness_ms,
+                                      r.max_lateness_ms);
     latencies.insert(latencies.end(), r.latencies_ms.begin(),
                      r.latencies_ms.end());
     ingest_latencies.insert(ingest_latencies.end(),

@@ -5,8 +5,9 @@
 // streams are pure functions of their spec) and dealt round-robin across
 // connections; each connection thread paces its slice open-loop against
 // the scenario's event-time axis (`speedup` event-ms per wall-ms; 0
-// floods as fast as the outstanding window allows) and measures
-// send-to-response latency per query.
+// floods as fast as the outstanding window allows), reads responses as
+// they arrive, and measures per-request latency: from the due time when
+// paced, from the send when flooding.
 
 #ifndef LATEST_NET_LOADGEN_H_
 #define LATEST_NET_LOADGEN_H_
@@ -57,16 +58,20 @@ struct LoadgenReport {
   uint64_t protocol_errors = 0;  // ERROR frames / undecodable responses.
   double wall_seconds = 0.0;
   double qps = 0.0;  // Answered queries per wall second.
-  /// Query send-to-response latency (the headline numbers).
+  /// Query latency (the headline numbers): due time (paced) or send
+  /// (flood) to response.
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
-  /// Ingest send-to-ack latency, reported separately: ingests ride the
+  /// Ingest latency to the ack, reported separately: ingests ride the
   /// same admission queue but skip the estimation stage, so their tail
   /// isolates queueing from compute.
   double ingest_p50_ms = 0.0;
   double ingest_p95_ms = 0.0;
   double ingest_p99_ms = 0.0;
+  /// Paced runs: the largest gap between a request's due time and its
+  /// send.
+  double max_lateness_ms = 0.0;
   /// Connections whose HELLO negotiation enabled trace contexts.
   uint64_t traced_connections = 0;
 };

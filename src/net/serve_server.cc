@@ -349,64 +349,46 @@ bool ServeServer::DrainFrames(uint64_t conn_id, Connection* conn) {
         }
         break;
       }
-      case FrameType::kIngest: {
-        IngestRequest req;
-        ok = DecodeIngest(frame.payload, &req);
-        if (!ok) break;
-        AdmittedEvent event;
-        event.kind = AdmittedEvent::Kind::kIngest;
-        event.conn_id = conn_id;
-        event.request_id = req.request_id;
-        event.object = std::move(req.object);
-        event.trace_id = req.trace.trace_id;
-        event.trace_sampled = req.trace.present && req.trace.sampled;
-        event.arrival_micros = arrival_micros;
-        uint32_t backoff_ms = 0;
-        if (batcher_.Admit(std::move(event), degraded, &backoff_ms) !=
-            AdmitResult::kAdmitted) {
-          stats_.shed_ingests.fetch_add(1, std::memory_order_relaxed);
-          if (shed_ingest_counter_ != nullptr) {
-            shed_ingest_counter_->Increment();
-          }
-          EncodeRetryLater(
-              {req.request_id, static_cast<uint32_t>(FrameType::kIngest),
-               backoff_ms},
-              &conn->write_buffer);
-          stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
-          if (frames_out_counter_ != nullptr) {
-            frames_out_counter_->Increment();
-          }
-        }
-        break;
-      }
+      case FrameType::kIngest:
       case FrameType::kQuery: {
-        QueryRequest req;
-        ok = DecodeQuery(frame.payload, &req);
-        if (!ok) break;
+        const bool is_query =
+            static_cast<FrameType>(frame.type) == FrameType::kQuery;
         AdmittedEvent event;
-        event.kind = AdmittedEvent::Kind::kQuery;
-        event.conn_id = conn_id;
-        event.request_id = req.request_id;
-        event.query = std::move(req.query);
-        event.trace_id = req.trace.trace_id;
-        event.trace_sampled = req.trace.present && req.trace.sampled;
-        event.arrival_micros = arrival_micros;
-        uint32_t backoff_ms = 0;
-        if (batcher_.Admit(std::move(event), degraded, &backoff_ms) !=
-            AdmitResult::kAdmitted) {
-          stats_.shed_queries.fetch_add(1, std::memory_order_relaxed);
-          if (shed_query_counter_ != nullptr) {
-            shed_query_counter_->Increment();
-          }
-          EncodeRetryLater(
-              {req.request_id, static_cast<uint32_t>(FrameType::kQuery),
-               backoff_ms},
-              &conn->write_buffer);
-          stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
-          if (frames_out_counter_ != nullptr) {
-            frames_out_counter_->Increment();
-          }
+        WireTraceContext trace;
+        if (is_query) {
+          QueryRequest req;
+          ok = DecodeQuery(frame.payload, &req);
+          event.kind = AdmittedEvent::Kind::kQuery;
+          event.request_id = req.request_id;
+          event.query = std::move(req.query);
+          trace = req.trace;
+        } else {
+          IngestRequest req;
+          ok = DecodeIngest(frame.payload, &req);
+          event.request_id = req.request_id;
+          event.object = std::move(req.object);
+          trace = req.trace;
         }
+        if (!ok) break;
+        event.conn_id = conn_id;
+        event.trace_id = trace.trace_id;
+        event.trace_sampled = trace.present && trace.sampled;
+        event.arrival_micros = arrival_micros;
+        const uint64_t request_id = event.request_id;
+        uint32_t backoff_ms = 0;
+        if (batcher_.Admit(std::move(event), degraded, &backoff_ms) ==
+            AdmitResult::kAdmitted) {
+          break;
+        }
+        (is_query ? stats_.shed_queries : stats_.shed_ingests)
+            .fetch_add(1, std::memory_order_relaxed);
+        obs::Counter* shed_counter =
+            is_query ? shed_query_counter_ : shed_ingest_counter_;
+        if (shed_counter != nullptr) shed_counter->Increment();
+        EncodeRetryLater({request_id, frame.type, backoff_ms},
+                         &conn->write_buffer);
+        stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
+        if (frames_out_counter_ != nullptr) frames_out_counter_->Increment();
         break;
       }
       default:

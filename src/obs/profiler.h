@@ -39,7 +39,7 @@ class Profiler {
  public:
   struct Options {
     /// Samples per second of consumed CPU time. 97 (prime) avoids
-    /// lockstep with millisecond-periodic work like the batch tick.
+    /// lockstep with millisecond-periodic work like the SLO ticker.
     int hz = 97;
     /// Sample ring capacity; collection stops recording (but keeps
     /// counting) once full.

@@ -98,7 +98,7 @@ class SpanCollector {
   }
 
   /// Converts a steady_clock timestamp expressed as microseconds since
-  /// the steady epoch (the serve plane's tick domain) into this
+  /// the steady epoch (the serve plane's stage-stamp domain) into this
   /// collector's ns-since-construction domain. Both clocks are
   /// steady_clock, so the conversion is one subtraction.
   int64_t NanosFromSteadyMicros(int64_t steady_micros) const {
@@ -152,7 +152,7 @@ SpanCollector* GetSpanCollector();
 
 /// The calling thread's stable track id, assigning one on first use.
 /// Lets code that synthesizes SpanRecords directly (e.g. retroactive
-/// queue_wait spans built from batcher ticks) stamp them onto the same
+/// queue_wait spans built from batcher stamps) stamp them onto the same
 /// track as this thread's RAII spans.
 uint32_t CurrentThreadTid();
 

@@ -1,16 +1,18 @@
 // End-to-end serve plane: an in-process ServeServer + blocking clients
 // over real loopback sockets. Verifies the three contracts the daemon
-// ships on: (1) answers through the tick-batched admission path are
+// ships on: (1) answers through the batched admission path are
 // bit-identical to direct LatestModule calls, (2) overload sheds QUERY
 // frames with RETRY_LATER while INGEST keeps landing, and (3) shutdown
 // drains every admitted event before closing. The concurrent-clients
 // test is the TSan target for the IO-thread / batch-thread handoff.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 
 #include "core/latest_module.h"
 #include "net/client.h"
+#include "net/loadgen.h"
 #include "net/protocol.h"
 #include "net/serve_server.h"
 #include "obs/profiler.h"
@@ -29,6 +32,7 @@
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/serialization.h"
+#include "workload/scenario.h"
 
 namespace latest::net {
 namespace {
@@ -66,6 +70,74 @@ stream::Query MakeKeywordQuery(uint64_t keyword, int64_t timestamp) {
   return q;
 }
 
+IngestRequest MakeIngest(uint64_t request_id, uint64_t oid,
+                         int64_t timestamp) {
+  IngestRequest ingest;
+  ingest.request_id = request_id;
+  ingest.object.oid = oid;
+  ingest.object.loc = {5.0, 5.0};
+  ingest.object.keywords = {static_cast<stream::KeywordId>(oid % 50)};
+  ingest.object.timestamp = timestamp;
+  return ingest;
+}
+
+/// A server whose batch thread the test can hold: the ingest hook
+/// forwards to module->OnObject, then blocks until Open(). While it is
+/// held, everything admitted after the held batch stays queued in the
+/// batcher, with no timer involved.
+class GatedServer {
+ public:
+  GatedServer(const ServeServerConfig& config, core::LatestModule* module)
+      : server_(config, module,
+                [this, module](const stream::GeoTextObject& obj) {
+                  module->OnObject(obj);
+                  std::unique_lock<std::mutex> lock(mu_);
+                  held_ = true;
+                  cv_.notify_all();
+                  cv_.wait(lock, [this] { return open_; });
+                }) {}
+  // Open first: Stop joins the batch thread, which may be held.
+  ~GatedServer() {
+    Open();
+    server_.Stop();
+  }
+  GatedServer(const GatedServer&) = delete;
+  GatedServer& operator=(const GatedServer&) = delete;
+
+  ServeServer& server() { return server_; }
+
+  /// Blocks until the batch thread sits in the hook.
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+
+  /// Releases the held batch thread and lets every later ingest through.
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool open_ = false;
+  ServeServer server_;  // Last: its batch thread uses the members above.
+};
+
+/// Reads the next response, which must be the STATUS answer. The IO
+/// thread answers a STATUS frame only after admitting (or shedding)
+/// every frame sent before it on the same connection.
+void ExpectStatusResponse(ServeClient* client) {
+  auto response = client->ReadResponse();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->type, FrameType::kStatusResponse);
+}
+
 // The core correctness claim: a client speaking the wire protocol gets
 // the same estimates and ground truths as code calling the module
 // directly, even though the server coalesces admissions into batches.
@@ -74,9 +146,9 @@ TEST(ServeE2eTest, EstimatesMatchDirectModuleCalls) {
   auto reference_module = MustCreate(TestConfig());
 
   ServeServerConfig config;
-  config.batcher.tick_us = 500;
   config.batcher.max_batch = 64;
-  ServeServer server(config, server_module.get());
+  GatedServer gated(config, server_module.get());
+  ServeServer& server = gated.server();
   ASSERT_TRUE(server.Start().ok());
 
   auto client = MustConnect(server.port());
@@ -94,10 +166,20 @@ TEST(ServeE2eTest, EstimatesMatchDirectModuleCalls) {
   std::string pipeline;
   uint64_t next_id = 1;
   size_t compared_queries = 0;
+  bool first_flush = true;
 
   const auto flush_and_check = [&] {
+    // The first pipeline starts with an ingest, which holds the batch
+    // thread until the trailing STATUS frame shows the whole pipeline
+    // admitted; the rest of it then drains as one batch.
+    if (first_flush) EncodeStatus({next_id++}, &pipeline);
     ASSERT_TRUE(client->SendRaw(pipeline).ok());
     pipeline.clear();
+    if (first_flush) {
+      first_flush = false;
+      ExpectStatusResponse(client.get());
+      gated.Open();
+    }
     while (!expected.empty()) {
       auto response = client->ReadResponse();
       ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -159,7 +241,8 @@ TEST(ServeE2eTest, EstimatesMatchDirectModuleCalls) {
             static_cast<uint32_t>(reference_module->active_kind()));
 
   // Batching actually happened (otherwise this test proves nothing
-  // about the coalesced path).
+  // about the coalesced path): the gate guarantees it for the first
+  // pipeline.
   EXPECT_LT(server.stats().batches.load(),
             server.stats().queries_answered.load() +
                 server.stats().objects_ingested.load());
@@ -169,15 +252,19 @@ TEST(ServeE2eTest, EstimatesMatchDirectModuleCalls) {
 TEST(ServeE2eTest, OverloadShedsQueriesButKeepsIngesting) {
   auto module = MustCreate(TestConfig());
   ServeServerConfig config;
-  config.batcher.tick_us = 50000;   // Slow ticks: the queue must absorb.
-  config.batcher.max_batch = 1024;  // No occupancy-triggered early batch.
   config.batcher.max_query_queue = 2;
-  ServeServer server(config, module.get());
+  GatedServer gated(config, module.get());
+  ServeServer& server = gated.server();
   ASSERT_TRUE(server.Start().ok());
   auto client = MustConnect(server.port());
 
+  // Hold the batch thread in an ingest: the queue must absorb the burst.
+  ASSERT_TRUE(client->SendIngest(MakeIngest(1, 0, 2000)).ok());
+  gated.WaitUntilHeld();
+
   // Blast one pipelined burst of queries far past the queue cap.
   constexpr uint64_t kQueries = 200;
+  constexpr uint64_t kQueueCap = 2;
   std::string burst;
   for (uint64_t i = 0; i < kQueries; ++i) {
     QueryRequest query;
@@ -185,25 +272,43 @@ TEST(ServeE2eTest, OverloadShedsQueriesButKeepsIngesting) {
     query.query = MakeKeywordQuery(i % 50, 2000);
     EncodeQuery(query, &burst);
   }
+  EncodeStatus({2}, &burst);
   ASSERT_TRUE(client->SendRaw(burst).ok());
 
-  // Shed responses come from the IO thread and answered ones from the
-  // batch thread, so the interleaving is arbitrary — count by type.
+  // Shed responses come from the IO thread at once; the admitted
+  // queries are answered only after the gate opens.
   uint64_t answered = 0;
   uint64_t shed = 0;
-  for (uint64_t i = 0; i < kQueries; ++i) {
+  const auto count_query_response = [&](const ServeResponse& response) {
+    if (response.type == FrameType::kQueryResponse) {
+      ++answered;
+      return;
+    }
+    ASSERT_EQ(response.type, FrameType::kRetryLater);
+    EXPECT_EQ(response.retry.rejected_type,
+              static_cast<uint32_t>(FrameType::kQuery));
+    EXPECT_GT(response.retry.backoff_hint_ms, 0u);
+    ++shed;
+  };
+  for (;;) {
     auto response = client->ReadResponse();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
-    if (response->type == FrameType::kQueryResponse) {
-      ++answered;
-    } else {
-      ASSERT_EQ(response->type, FrameType::kRetryLater);
-      EXPECT_EQ(response->retry.rejected_type,
-                static_cast<uint32_t>(FrameType::kQuery));
-      EXPECT_GT(response->retry.backoff_hint_ms, 0u);
-      ++shed;
-    }
+    if (response->type == FrameType::kStatusResponse) break;
+    count_query_response(*response);
   }
+  EXPECT_EQ(shed, kQueries - kQueueCap);
+  EXPECT_EQ(answered, 0u);
+
+  gated.Open();
+  auto ack = client->ReadResponse();
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->type, FrameType::kIngestAck);
+  for (uint64_t i = 0; i < kQueueCap; ++i) {
+    auto response = client->ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    count_query_response(*response);
+  }
+  EXPECT_EQ(answered, kQueueCap);
   EXPECT_EQ(answered + shed, kQueries);
   EXPECT_GT(shed, 0u);
   EXPECT_EQ(server.stats().shed_queries.load(), shed);
@@ -211,53 +316,62 @@ TEST(ServeE2eTest, OverloadShedsQueriesButKeepsIngesting) {
   // Ingest still lands while queries shed: the shed policy protects the
   // stream, not the other way around.
   for (uint64_t i = 0; i < 50; ++i) {
-    IngestRequest ingest;
-    ingest.request_id = 5000 + i;
-    stream::GeoTextObject obj;
-    obj.oid = i;
-    obj.loc = {10.0, 10.0};
-    obj.keywords = {static_cast<stream::KeywordId>(i % 50)};
-    obj.timestamp = 2000 + static_cast<int64_t>(i);
-    ingest.object = obj;
-    ASSERT_TRUE(client->SendIngest(ingest).ok());
+    ASSERT_TRUE(client
+                    ->SendIngest(MakeIngest(5000 + i, i,
+                                            2000 + static_cast<int64_t>(i)))
+                    .ok());
     auto response = client->ReadResponse();
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response->type, FrameType::kIngestAck);
   }
   EXPECT_EQ(server.stats().shed_ingests.load(), 0u);
-  server.Stop();
 }
 
 TEST(ServeE2eTest, CleanShutdownDrainsAdmittedWork) {
   auto module = MustCreate(TestConfig());
-  ServeServerConfig config;
-  config.batcher.tick_us = 100000;  // Work is still queued when we Stop.
-  config.batcher.max_batch = 1024;
-  ServeServer server(config, module.get());
+  GatedServer gated(ServeServerConfig{}, module.get());
+  ServeServer& server = gated.server();
   ASSERT_TRUE(server.Start().ok());
   auto client = MustConnect(server.port());
 
+  // The first ingest holds the batch thread; the rest of the burst is
+  // admitted behind it and is still queued when we Stop.
   constexpr uint64_t kEvents = 32;
+  ASSERT_TRUE(client->SendIngest(MakeIngest(1, 0, 0)).ok());
+  gated.WaitUntilHeld();
   std::string burst;
-  for (uint64_t i = 0; i < kEvents; ++i) {
-    IngestRequest ingest;
-    ingest.request_id = i + 1;
-    stream::GeoTextObject obj;
-    obj.oid = i;
-    obj.loc = {5.0, 5.0};
-    obj.keywords = {1};
-    obj.timestamp = static_cast<int64_t>(i);
-    ingest.object = obj;
-    EncodeIngest(ingest, &burst);
+  for (uint64_t i = 1; i < kEvents; ++i) {
+    EncodeIngest(MakeIngest(i + 1, i, static_cast<int64_t>(i)), &burst);
   }
+  EncodeStatus({kEvents + 1}, &burst);
   ASSERT_TRUE(client->SendRaw(burst).ok());
+  ExpectStatusResponse(client.get());
 
-  // Wait until the IO thread has decoded (and thus admitted) the burst,
-  // then stop while the slow tick still holds it queued.
-  while (server.stats().frames_in.load() < kEvents) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  server.Stop();
+  std::thread stopper([&server] { server.Stop(); });
+  // Stop refuses new admissions before it drains: once a probe query
+  // sheds, Stop has begun with the burst still queued. An admitted
+  // probe answers only after the gate opens, so the STATUS frame behind
+  // it answers first.
+  auto prober = MustConnect(server.port());
+  uint64_t probe_id = 10000;
+  const auto probe_until_shed = [&] {
+    for (;;) {
+      std::string probe;
+      QueryRequest query;
+      query.request_id = probe_id++;
+      query.query = MakeKeywordQuery(1, kEvents);
+      EncodeQuery(query, &probe);
+      EncodeStatus({probe_id++}, &probe);
+      ASSERT_TRUE(prober->SendRaw(probe).ok());
+      auto response = prober->ReadResponse();
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      if (response->type == FrameType::kRetryLater) break;
+      ASSERT_EQ(response->type, FrameType::kStatusResponse);
+    }
+  };
+  probe_until_shed();
+  gated.Open();
+  stopper.join();
 
   // Every admitted ingest was applied and its ack flushed before close.
   EXPECT_EQ(server.stats().objects_ingested.load(), kEvents);
@@ -273,6 +387,47 @@ TEST(ServeE2eTest, CleanShutdownDrainsAdmittedWork) {
 
   server.Stop();  // Idempotent.
   EXPECT_FALSE(server.running());
+}
+
+// A paced loadgen run keeps its schedule and times each request from its
+// due time. It reads responses while it waits for the next due time; a
+// generator that read them only once its 128-request window was full
+// reported the window's fill time (about 120 ms here) as latency.
+TEST(ServeE2eTest, PacedLoadgenKeepsItsSchedule) {
+  auto scenario = workload::MakeScenario("baseline");
+  ASSERT_TRUE(scenario.ok());
+  core::LatestConfig module_config = TestConfig();
+  module_config.bounds = scenario->spec.bounds;
+  auto module = MustCreate(module_config);
+  ServeServer server(ServeServerConfig{}, module.get());
+  ASSERT_TRUE(server.Start().ok());
+
+  LoadgenConfig load;
+  load.port = server.port();
+  load.connections = 1;
+  load.scenario = "baseline";
+  load.objects = 1500;
+  load.duration_ms = 1500;
+  load.speedup = 1.0;
+  load.max_outstanding = 128;
+  load.trace = false;
+  auto report = RunLoadgen(load);
+  server.Stop();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  EXPECT_EQ(report->errors, 0u);
+  EXPECT_EQ(report->protocol_errors, 0u);
+  EXPECT_EQ(report->shed, 0u);
+  EXPECT_EQ(report->ingests_sent, load.objects);
+  EXPECT_EQ(report->ingests_acked, report->ingests_sent);
+  EXPECT_GT(report->queries_sent, 0u);
+  EXPECT_EQ(report->queries_answered, report->queries_sent);
+  // Every scheduled event went out on time, so before the duration
+  // ended (the last event is due inside it).
+  EXPECT_LT(report->max_lateness_ms, 100.0);
+  EXPECT_LT(report->p50_ms, 20.0);
+  EXPECT_LT(report->ingest_p50_ms, 20.0);
+  EXPECT_LT(report->wall_seconds * 1000.0, load.duration_ms + 1000.0);
 }
 
 TEST(ServeE2eTest, GarbageFrameGetsErrorThenClose) {
@@ -316,7 +471,6 @@ TEST(ServeE2eTest, GarbageFrameGetsErrorThenClose) {
 TEST(ServeE2eTest, ConcurrentClientsReconcileAndShutdownCleanly) {
   auto module = MustCreate(TestConfig());
   ServeServerConfig config;
-  config.batcher.tick_us = 500;
   config.batcher.max_batch = 32;
   ServeServer server(config, module.get());
   ASSERT_TRUE(server.Start().ok());
@@ -473,7 +627,6 @@ TEST(ServeE2eTest, TracedWaterfallsReconcileAndSpansLinkAcrossThreads) {
 
   auto module = MustCreate(TestConfig());
   ServeServerConfig config;
-  config.batcher.tick_us = 500;
   config.batcher.max_batch = 64;
   ServeServer server(config, module.get());
   ASSERT_TRUE(server.Start().ok());
@@ -612,7 +765,6 @@ TEST(ServeE2eTest, TracingDoesNotPerturbEstimates) {
   auto server_module = MustCreate(TestConfig());
   auto reference_module = MustCreate(TestConfig());
   ServeServerConfig config;
-  config.batcher.tick_us = 500;
   ServeServer server(config, server_module.get());
   ASSERT_TRUE(server.Start().ok());
   auto client_result = ServeClient::ConnectNegotiated(server.port());
@@ -677,7 +829,6 @@ TEST(ServeE2eTest, ConcurrentIntrospectionScrapesDuringLoad) {
   const uint16_t http_port = module->introspection()->port();
 
   ServeServerConfig config;
-  config.batcher.tick_us = 500;
   ServeServer server(config, module.get());
   ASSERT_TRUE(server.Start().ok());
 

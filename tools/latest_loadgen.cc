@@ -183,7 +183,8 @@ int main(int argc, char** argv) {
       .Dbl("p99_ms", report->p99_ms)
       .Dbl("ingest_p50_ms", report->ingest_p50_ms)
       .Dbl("ingest_p95_ms", report->ingest_p95_ms)
-      .Dbl("ingest_p99_ms", report->ingest_p99_ms);
+      .Dbl("ingest_p99_ms", report->ingest_p99_ms)
+      .Dbl("max_lateness_ms", report->max_lateness_ms);
   if (metrics_port >= 0) {
     const ServerQueueWait server =
         ScrapeQueueWait(static_cast<uint16_t>(metrics_port));

@@ -2,9 +2,10 @@
 //
 // Hosts one LatestModule behind the src/net RPC plane: a loopback
 // length-prefixed binary protocol accepting concurrent INGEST / QUERY /
-// STATUS frames, tick-batched admission into the module (so the batch
-// kernels see real batches), and SLO-driven load shedding (RETRY_LATER
-// with backoff hints; QUERY sheds before INGEST).
+// STATUS frames, load-proportional batched admission into the module
+// (whatever queued while the previous batch ran goes in as one batch, so
+// the batch kernels see real batches under load), and SLO-driven load
+// shedding (RETRY_LATER with backoff hints; QUERY sheds before INGEST).
 //
 // Durability: --checkpoint-dir DIR recovers the newest snapshot + WAL
 // tail at boot (fresh module when the directory is empty), write-ahead
@@ -25,7 +26,7 @@
 // RESULT_JSON line with lifetime serve counters.
 //
 // Usage:
-//   latest_serve [--port P] [--tick-us T] [--max-batch N]
+//   latest_serve [--port P] [--max-batch N]
 //                [--max-query-queue N] [--max-ingest-queue N]
 //                [--degraded-divisor N] [--max-connections N]
 //                [--threads N] [--metrics-port P]
@@ -57,7 +58,6 @@ using latest::core::LatestModule;
 
 struct Options {
   uint16_t port = 0;
-  uint32_t tick_us = 2000;
   uint32_t max_batch = 64;
   uint32_t max_query_queue = 4096;
   uint32_t max_ingest_queue = 65536;
@@ -89,8 +89,6 @@ Options ParseArgs(int argc, char** argv) {
     if (arg == "--port") {
       options.port = static_cast<uint16_t>(std::strtoul(
           value().c_str(), nullptr, 10));
-    } else if (arg == "--tick-us") {
-      options.tick_us = std::strtoul(value().c_str(), nullptr, 10);
     } else if (arg == "--max-batch") {
       options.max_batch = std::strtoul(value().c_str(), nullptr, 10);
     } else if (arg == "--max-query-queue") {
@@ -222,7 +220,6 @@ int main(int argc, char** argv) {
 
   latest::net::ServeServerConfig serve_config;
   serve_config.port = options.port;
-  serve_config.batcher.tick_us = options.tick_us;
   serve_config.batcher.max_batch = options.max_batch;
   serve_config.batcher.max_query_queue = options.max_query_queue;
   serve_config.batcher.max_ingest_queue = options.max_ingest_queue;
