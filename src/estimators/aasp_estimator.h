@@ -23,11 +23,21 @@
 //
 // Window expiry: per-node per-slice counters (exact); keyword counters and
 // the per-slice KMV ring decay/rotate alongside.
+//
+// Layout: the whole forest is one pooled node store addressed by uint32_t
+// ids. The partition roots are ids 0..P-1; a split allocates its four
+// children as one block of consecutive ids, and a subtree collapsed by
+// window expiry returns its block to a free list for the next split. The
+// per-slice counts are one num_nodes x num_slices array and each node's
+// Space-Saving keyword counter lives inline in a SpaceSavingPool slot
+// (node x aasp_node_keywords keys and counts). Insert and Estimate thus
+// touch a few contiguous arrays and allocate nothing once the pool has
+// grown to the tree's size.
 
 #ifndef LATEST_ESTIMATORS_AASP_ESTIMATOR_H_
 #define LATEST_ESTIMATORS_AASP_ESTIMATOR_H_
 
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "estimators/kmv_synopsis.h"
@@ -68,57 +78,81 @@ class AaspEstimator : public WindowedEstimatorBase {
   bool LoadStateImpl(util::BinaryReader* reader) override;
 
  private:
-  struct Node;
+  /// One pooled tree node. Children are the four consecutive ids starting
+  /// at first_child (quadrant order of QuadrantOf); kLeaf marks a leaf.
+  struct Node {
+    geo::Rect cell;
+    uint64_t live_count = 0;
+    double decayed_count = 0.0;  // Normalizer for decayed keyword counters.
+    uint32_t first_child = kLeaf;
+    uint32_t depth = 0;
+    bool is_leaf() const { return first_child == kLeaf; }
+  };
+  static constexpr uint32_t kLeaf = ~0u;
 
   /// One ASP tree plus its node budget accounting.
   struct Partition {
-    std::unique_ptr<Node> root;
+    uint32_t root = 0;
     uint32_t num_nodes = 1;
   };
 
   /// Partition index an object's keyword set routes to.
   uint32_t PartitionOf(const std::vector<stream::KeywordId>& keywords) const;
-  void SplitLeaf(Partition* partition, Node* node);
+  /// Initializes node `id` as an empty leaf covering `cell`.
+  void InitNode(uint32_t id, const geo::Rect& cell, uint32_t depth);
+  /// Gives leaf `id` four empty children covering its quadrants (a
+  /// recycled block when one is free).
+  void SplitLeaf(Partition* partition, uint32_t id);
   int QuadrantOf(const Node& node, const geo::Point& p) const;
+  uint64_t* SliceCounts(uint32_t id) {
+    return &slice_counts_[static_cast<size_t>(id) * num_slices_];
+  }
+  const uint64_t* SliceCounts(uint32_t id) const {
+    return &slice_counts_[static_cast<size_t>(id) * num_slices_];
+  }
   /// Advances the ring head in every node; returns subtree live count and
   /// collapses empty subtrees.
-  uint64_t RotateNode(Partition* partition, Node* node);
-  double EstimateSpatial(const Node& node, const geo::Rect& range) const;
-  double EstimateHybrid(const Node& node, const stream::Query& q) const;
+  uint64_t RotateNode(Partition* partition, uint32_t id);
+  double EstimateSpatial(uint32_t id, const geo::Rect& range) const;
+  double EstimateHybrid(uint32_t id, const stream::Query& q) const;
   /// P(object carries at least one keyword of W), from global statistics.
   double GlobalKeywordProbability(
-      const std::vector<stream::KeywordId>& keywords) const;
+      std::span<const stream::KeywordId> keywords) const;
   /// Same, from one node's local counters (global fallback per keyword).
   double NodeKeywordProbability(
-      const Node& node, const std::vector<stream::KeywordId>& keywords) const;
+      uint32_t id, const std::vector<stream::KeywordId>& keywords) const;
   /// Local-only variant: untracked keywords contribute nothing. Pure
   /// keyword queries aggregate this over all trees.
   double NodeKeywordProbabilityLocal(
-      const Node& node, const std::vector<stream::KeywordId>& keywords) const;
-  double EstimateKeywordOnly(const Node& node,
+      uint32_t id, const std::vector<stream::KeywordId>& keywords) const;
+  double EstimateKeywordOnly(uint32_t id,
                              const std::vector<stream::KeywordId>& kw) const;
   /// Estimated per-keyword count for keywords the global counter dropped
   /// (cached; recomputed after rotations and periodically on insert).
   double UntrackedKeywordCount() const;
-  size_t NodeMemoryBytes(const Node& node) const;
-  std::unique_ptr<Node> MakeRoot() const;
   /// Recursive node persistence. Cells are not serialized: LoadNode
   /// re-derives each child cell from its parent with the same quadrant
   /// arithmetic SplitLeaf uses, so the geometry is bit-identical.
-  void SaveNode(const Node& node, util::BinaryWriter* writer) const;
-  bool LoadNode(Partition* partition, Node* node, util::BinaryReader* reader);
+  void SaveNode(uint32_t id, util::BinaryWriter* writer) const;
+  bool LoadNode(Partition* partition, uint32_t id,
+                util::BinaryReader* reader);
 
   geo::Rect bounds_;
   uint32_t num_slices_;
   double split_value_;
   uint32_t max_nodes_;
   uint32_t max_depth_;
-  uint32_t node_keyword_capacity_;
   double decay_factor_;
   uint64_t partition_hash_seed_;
 
   std::vector<Partition> partitions_;
   uint32_t head_slice_ = 0;
+
+  /// The pooled node store, indexed by node id.
+  std::vector<Node> nodes_;
+  std::vector<uint64_t> slice_counts_;  // Ring per node, by the forest head.
+  SpaceSavingPool node_keywords_;       // One slot per node.
+  std::vector<uint32_t> free_blocks_;   // First ids of recycled 4-blocks.
 
   /// Global (whole-domain) keyword statistics for hybrid fallback.
   SpaceSavingCounter global_keywords_;

@@ -126,4 +126,113 @@ bool SpaceSavingCounter::Load(util::BinaryReader* reader) {
   return true;
 }
 
+SpaceSavingPool::SpaceSavingPool(uint32_t capacity) : capacity_(capacity) {
+  assert(capacity > 0);
+}
+
+void SpaceSavingPool::Resize(uint32_t num_slots) {
+  keys_.resize(static_cast<size_t>(num_slots) * capacity_);
+  counts_.resize(keys_.size());
+  sizes_.resize(num_slots, 0);
+  totals_.resize(num_slots, 0.0);
+}
+
+void SpaceSavingPool::ClearSlot(uint32_t slot) {
+  sizes_[slot] = 0;
+  totals_[slot] = 0.0;
+}
+
+void SpaceSavingPool::Add(uint32_t slot, uint32_t key, double weight) {
+  totals_[slot] += weight;
+  uint32_t* keys = &keys_[Base(slot)];
+  double* counts = &counts_[Base(slot)];
+  uint32_t& n = sizes_[slot];
+  uint32_t pos = 0;
+  while (pos < n && keys[pos] < key) ++pos;
+  if (pos < n && keys[pos] == key) {
+    counts[pos] += weight;
+    return;
+  }
+  double count = weight;
+  if (n == capacity_) {
+    // Space-Saving eviction: the new key inherits the minimum counter.
+    // Keys are sorted, so the first minimum is the smallest key among
+    // ties, matching SpaceSavingCounter::MinKey.
+    uint32_t victim = 0;
+    for (uint32_t i = 1; i < n; ++i) {
+      if (counts[i] < counts[victim]) victim = i;
+    }
+    count = counts[victim] + weight;
+    for (uint32_t i = victim; i + 1 < n; ++i) {
+      keys[i] = keys[i + 1];
+      counts[i] = counts[i + 1];
+    }
+    --n;
+    if (victim < pos) --pos;
+  }
+  for (uint32_t i = n; i > pos; --i) {
+    keys[i] = keys[i - 1];
+    counts[i] = counts[i - 1];
+  }
+  keys[pos] = key;
+  counts[pos] = count;
+  ++n;
+}
+
+void SpaceSavingPool::Decay(uint32_t slot, double factor,
+                            double prune_below) {
+  totals_[slot] *= factor;
+  uint32_t* keys = &keys_[Base(slot)];
+  double* counts = &counts_[Base(slot)];
+  uint32_t kept = 0;
+  for (uint32_t i = 0; i < sizes_[slot]; ++i) {
+    const double count = counts[i] * factor;
+    if (count < prune_below) continue;
+    keys[kept] = keys[i];
+    counts[kept] = count;
+    ++kept;
+  }
+  sizes_[slot] = kept;
+}
+
+void SpaceSavingPool::Save(uint32_t slot, util::BinaryWriter* writer) const {
+  writer->WriteU32(capacity_);
+  writer->WriteDouble(totals_[slot]);
+  writer->WriteU64(sizes_[slot]);
+  for (uint32_t i = 0; i < sizes_[slot]; ++i) {
+    writer->WriteU32(keys_[Base(slot) + i]);
+    writer->WriteDouble(counts_[Base(slot) + i]);
+  }
+}
+
+bool SpaceSavingPool::Load(uint32_t slot, util::BinaryReader* reader) {
+  ClearSlot(slot);
+  uint32_t capacity;
+  double total_weight;
+  uint64_t num_entries;
+  if (!reader->ReadU32(&capacity) || !reader->ReadDouble(&total_weight) ||
+      !reader->ReadU64(&num_entries) || capacity != capacity_ ||
+      num_entries > capacity_) {
+    return false;
+  }
+  uint32_t* keys = &keys_[Base(slot)];
+  double* counts = &counts_[Base(slot)];
+  for (uint32_t i = 0; i < num_entries; ++i) {
+    if (!reader->ReadU32(&keys[i]) || !reader->ReadDouble(&counts[i]) ||
+        (i > 0 && keys[i] <= keys[i - 1])) {
+      return false;
+    }
+  }
+  sizes_[slot] = static_cast<uint32_t>(num_entries);
+  totals_[slot] = total_weight;
+  return true;
+}
+
+size_t SpaceSavingPool::MemoryBytes() const {
+  return keys_.capacity() * sizeof(uint32_t) +
+         counts_.capacity() * sizeof(double) +
+         sizes_.capacity() * sizeof(uint32_t) +
+         totals_.capacity() * sizeof(double);
+}
+
 }  // namespace latest::estimators

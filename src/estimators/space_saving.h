@@ -2,7 +2,8 @@
 // optional exponential decay for sliding-window approximation.
 //
 // AASP tree nodes and the FFN keyword-popularity feature both need
-// bounded-size per-keyword frequency counters over the window. Space-
+// bounded-size per-keyword frequency counters over the window (the AASP
+// nodes through SpaceSavingPool below). Space-
 // Saving tracks the (approximately) most frequent keywords in a fixed
 // number of counters; multiplying all counters by (num_slices-1)/num_slices
 // on each slice rotation geometrically forgets expired history.
@@ -72,6 +73,83 @@ class SpaceSavingCounter {
   uint32_t capacity_;
   std::unordered_map<uint32_t, double> entries_;
   double total_weight_ = 0.0;
+};
+
+/// Many small Space-Saving counters of one capacity, stored inline in
+/// shared arrays: slot s owns entries [s * capacity, (s + 1) * capacity)
+/// of the key and count arrays, kept sorted by key. Each slot behaves
+/// exactly like a SpaceSavingCounter of the same capacity (same eviction
+/// and tie-break, same decay and pruning, same Save bytes) but costs no
+/// allocation or hashing per counter, which is what a tree of thousands of
+/// 4-key counters needs. Large counters (hundreds of live keys) stay with
+/// SpaceSavingCounter, whose hash lookup wins there.
+class SpaceSavingPool {
+ public:
+  /// capacity: maximum tracked keys per slot (> 0).
+  explicit SpaceSavingPool(uint32_t capacity);
+
+  /// Grows or shrinks the pool; added slots are empty.
+  void Resize(uint32_t num_slots);
+
+  /// Empties one slot.
+  void ClearSlot(uint32_t slot);
+
+  /// Records one occurrence of `key` in `slot`.
+  void Add(uint32_t slot, uint32_t key, double weight = 1.0);
+
+  /// The key's counter in `slot`, or null when untracked.
+  const double* Find(uint32_t slot, uint32_t key) const {
+    const uint32_t* keys = &keys_[Base(slot)];
+    const uint32_t n = sizes_[slot];
+    for (uint32_t i = 0; i < n; ++i) {
+      if (keys[i] == key) return &counts_[Base(slot) + i];
+    }
+    return nullptr;
+  }
+
+  /// Estimated count of `key` in `slot`; 0 when untracked. Branch-free
+  /// over the occupied entries (keys are unique, so at most one matches).
+  double Count(uint32_t slot, uint32_t key) const {
+    const uint32_t* keys = &keys_[Base(slot)];
+    const double* counts = &counts_[Base(slot)];
+    double count = 0.0;
+    for (uint32_t i = 0; i < sizes_[slot]; ++i) {
+      count = keys[i] == key ? counts[i] : count;
+    }
+    return count;
+  }
+
+  /// Number of occupied counters in `slot`.
+  uint32_t size(uint32_t slot) const { return sizes_[slot]; }
+
+  /// Total weight ever added to `slot` (decayed alongside its counters).
+  double total_weight(uint32_t slot) const { return totals_[slot]; }
+
+  /// SpaceSavingCounter::Decay on one slot.
+  void Decay(uint32_t slot, double factor, double prune_below = 1e-3);
+
+  /// Writes `slot` in SpaceSavingCounter::Save's format.
+  void Save(uint32_t slot, util::BinaryWriter* writer) const;
+
+  /// Restores a slot persisted by Save (or by a SpaceSavingCounter of the
+  /// same capacity). False on capacity mismatch, more entries than the
+  /// capacity, keys not strictly ascending, or truncation; the slot is
+  /// then left empty.
+  bool Load(uint32_t slot, util::BinaryReader* reader);
+
+  /// Bytes held by the pooled arrays.
+  size_t MemoryBytes() const;
+
+ private:
+  size_t Base(uint32_t slot) const {
+    return static_cast<size_t>(slot) * capacity_;
+  }
+
+  uint32_t capacity_;
+  std::vector<uint32_t> keys_;   // num_slots x capacity, sorted per slot.
+  std::vector<double> counts_;   // Parallel to keys_.
+  std::vector<uint32_t> sizes_;  // Occupied entries per slot.
+  std::vector<double> totals_;   // Decayed total weight per slot.
 };
 
 }  // namespace latest::estimators

@@ -1,9 +1,15 @@
 // Tests for the AASP (augmented adaptive space partitioning) estimator.
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "estimators/aasp_estimator.h"
+#include "persist/crc32.h"
 #include "tests/test_stream.h"
+#include "util/serialization.h"
 
 namespace latest::estimators {
 namespace {
@@ -176,6 +182,196 @@ TEST(AaspEstimatorTest, MemoryGrowsWithNodeBudget) {
   FeedObjects(&small, small_cfg.window, objects);
   FeedObjects(&large, large_cfg.window, objects);
   EXPECT_GT(large.MemoryBytes(), small.MemoryBytes());
+}
+
+std::string SaveBytes(const AaspEstimator& est) {
+  util::BinaryWriter writer;
+  est.SaveState(&writer);
+  return writer.buffer();
+}
+
+/// Feeds `objects` with a slice rotation every `per_slice` inserts and
+/// returns how many rotations shrank the forest (whole-subtree collapses).
+int FeedWithRotations(AaspEstimator* est,
+                      const std::vector<stream::GeoTextObject>& objects,
+                      size_t per_slice) {
+  int collapses = 0;
+  for (size_t i = 0; i < objects.size(); ++i) {
+    if (i > 0 && i % per_slice == 0) {
+      const uint32_t before = est->num_nodes();
+      est->OnSliceRotate();
+      if (est->num_nodes() < before) ++collapses;
+    }
+    est->Insert(objects[i]);
+  }
+  return collapses;
+}
+
+/// A fixed seeded history that splits, rotates and collapses: a cluster
+/// at [20,40]^2 grows subtrees, then a stream confined to [60,100]^2
+/// expires them (their blocks are freed) and splits new nodes elsewhere.
+void DriveSnapshotHistory(AaspEstimator* est) {
+  FeedWithRotations(est, MakeClusteredObjects(12000, 41), 1000);
+  auto moved = MakeClusteredObjects(14000, 42);
+  for (auto& obj : moved) {
+    obj.loc = {60.0 + 0.4 * obj.loc.x, 60.0 + 0.4 * obj.loc.y};
+  }
+  const uint32_t grown = est->num_nodes();
+  ASSERT_GT(grown, est->num_partitions());
+  EXPECT_GT(FeedWithRotations(est, moved, 1000), 0);
+}
+
+std::vector<stream::Query> SnapshotQueries() {
+  std::vector<stream::Query> queries;
+  for (int i = 0; i < 6; ++i) {
+    const double lo = 10.0 * i;
+    const geo::Rect r{lo, lo, lo + 35.0, lo + 30.0};
+    const auto kw = static_cast<stream::KeywordId>(i * 7);
+    queries.push_back(MakeSpatialQuery(r));
+    queries.push_back(MakeKeywordQuery({kw}));
+    queries.push_back(MakeKeywordQuery({kw, kw + 1u, 1000u}));
+    queries.push_back(MakeHybridQuery(r, {kw}));
+    queries.push_back(MakeHybridQuery(r, {kw + 2u, 999u}));
+  }
+  return queries;
+}
+
+// The pooled node store writes the same bytes as the pointer-based tree
+// it replaced: the CRC below was recorded from that tree on this history.
+// A reload re-saves byte-identically and answers bit-identically.
+TEST(AaspEstimatorTest, SnapshotBytesArePinnedAndRoundTrip) {
+  const auto config = TestEstimatorConfig();
+  AaspEstimator est(config);
+  DriveSnapshotHistory(&est);
+  const std::string bytes = SaveBytes(est);
+  EXPECT_EQ(persist::Crc32(bytes), 0x09F313E6u);
+
+  AaspEstimator restored(config);
+  util::BinaryReader reader(bytes);
+  ASSERT_TRUE(restored.LoadState(&reader));
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(SaveBytes(restored), bytes);
+  EXPECT_EQ(restored.num_nodes(), est.num_nodes());
+  for (const stream::Query& q : SnapshotQueries()) {
+    EXPECT_EQ(restored.Estimate(q), est.Estimate(q));
+  }
+  // Both keep evolving identically (freed blocks are reused on both sides).
+  const auto more = MakeClusteredObjects(3000, 43);
+  FeedWithRotations(&est, more, 500);
+  FeedWithRotations(&restored, more, 500);
+  EXPECT_EQ(SaveBytes(restored), SaveBytes(est));
+}
+
+/// A small estimator whose snapshot is a few KB, for exhaustive
+/// corruption sweeps.
+EstimatorConfig SmallSnapshotConfig() {
+  auto config = TestEstimatorConfig();
+  config.window.num_slices = 4;
+  config.aasp_partitions = 2;
+  config.aasp_max_nodes = 64;
+  config.aasp_kmv_size = 8;
+  config.aasp_root_keywords = 8;
+  return config;
+}
+
+TEST(AaspEstimatorTest, LoadRejectsTruncationAndSurvivesByteFlips) {
+  const auto config = SmallSnapshotConfig();
+  AaspEstimator est(config);
+  FeedWithRotations(&est, MakeClusteredObjects(3000, 44), 500);
+  ASSERT_GT(est.num_nodes(), est.num_partitions());
+  const std::string bytes = SaveBytes(est);
+  const auto queries = SnapshotQueries();
+
+  AaspEstimator target(config);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    util::BinaryReader reader(std::string_view(bytes).substr(0, len));
+    ASSERT_FALSE(target.LoadState(&reader)) << "len " << len;
+    EXPECT_EQ(target.num_nodes(), target.num_partitions());
+  }
+  // A flipped byte may still decode; whatever loads must be usable.
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    std::string flipped = bytes;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0xFF);
+    util::BinaryReader reader(flipped);
+    if (target.LoadState(&reader)) {
+      for (const auto& q : queries) (void)target.Estimate(q);
+    }
+  }
+}
+
+/// Offset of a node counter's header (capacity, total, entry count) in a
+/// snapshot, or npos.
+size_t FindCounterHeader(const std::string& bytes, uint32_t capacity,
+                         double total, uint64_t num_entries) {
+  util::BinaryWriter writer;
+  writer.WriteU32(capacity);
+  writer.WriteDouble(total);
+  writer.WriteU64(num_entries);
+  return bytes.find(writer.buffer());
+}
+
+TEST(AaspEstimatorTest, LoadRejectsMalformedNodes) {
+  auto config = SmallSnapshotConfig();
+  config.aasp_partitions = 1;
+  AaspEstimator est(config);
+  stream::GeoTextObject obj;
+  obj.loc = {50, 50};
+  obj.keywords = {5, 9, 13};
+  est.Insert(obj);
+  const std::string bytes = SaveBytes(est);
+  // The root's counter holds keys 5, 9, 13 with total weight 3.
+  const size_t header = FindCounterHeader(bytes, 4, 3.0, 3);
+  ASSERT_NE(header, std::string::npos);
+  const size_t count_at = header + 4 + 8;
+  const size_t keys_at = count_at + 8;
+  auto load = [&](const std::string& snapshot) {
+    AaspEstimator target(config);
+    util::BinaryReader reader(snapshot);
+    return target.LoadState(&reader);
+  };
+  ASSERT_TRUE(load(bytes));
+
+  auto with_count = [&](uint64_t n) {
+    std::string patched = bytes;
+    std::memcpy(&patched[count_at], &n, sizeof(n));
+    return patched;
+  };
+  EXPECT_FALSE(load(with_count(5)));  // Above the capacity of 4.
+  EXPECT_FALSE(load(with_count(~0ull)));
+
+  auto with_keys = [&](uint32_t a, uint32_t b, uint32_t c) {
+    std::string patched = bytes;
+    const uint32_t keys[3] = {a, b, c};
+    for (int i = 0; i < 3; ++i) {
+      std::memcpy(&patched[keys_at + 12 * i], &keys[i], sizeof(uint32_t));
+    }
+    return patched;
+  };
+  // A live count that is not the sum of the node's slice ring.
+  std::string live_lie = bytes;
+  uint64_t live;
+  const size_t live_at = header - 8 - 8;  // Before decayed_count.
+  std::memcpy(&live, &live_lie[live_at], sizeof(live));
+  ASSERT_EQ(live, 1u);
+  live = 2;
+  std::memcpy(&live_lie[live_at], &live, sizeof(live));
+  EXPECT_FALSE(load(live_lie));
+  // Slice counts whose sum wraps around to the stored live count.
+  std::string wrapped = bytes;
+  const uint64_t half = 1ull << 63, zero = 0;
+  const size_t slices_at = live_at - 8 * config.window.num_slices;
+  std::memcpy(&wrapped[slices_at], &half, sizeof(half));
+  std::memcpy(&wrapped[slices_at + 8], &half, sizeof(half));
+  for (uint32_t i = 2; i < config.window.num_slices; ++i) {
+    std::memcpy(&wrapped[slices_at + 8 * i], &zero, sizeof(zero));
+  }
+  std::memcpy(&wrapped[live_at], &zero, sizeof(zero));
+  EXPECT_FALSE(load(wrapped));
+
+  EXPECT_TRUE(load(with_keys(1, 2, 3)));
+  EXPECT_FALSE(load(with_keys(9, 5, 13)));  // Descending.
+  EXPECT_FALSE(load(with_keys(5, 9, 9)));   // Duplicate.
+  EXPECT_FALSE(load(with_keys(13, 9, 5)));
 }
 
 // Property sweep over partition counts: the full-domain invariant holds

@@ -1,7 +1,9 @@
-// Tests for the KMV distinct-value synopsis and the Space-Saving counter.
+// Tests for the KMV distinct-value synopsis and the Space-Saving counters
+// (the hash-map counter and the pooled inline one).
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -181,6 +183,146 @@ TEST(SpaceSavingTest, TrackedTotalSumsCounters) {
   counter.Add(1, 3.0);
   counter.Add(2, 4.0);
   EXPECT_DOUBLE_EQ(counter.TrackedTotal(), 7.0);
+}
+
+// --------------------------------------------------------------------
+// SpaceSavingPool
+
+std::string SaveBytes(const SpaceSavingCounter& counter) {
+  util::BinaryWriter writer;
+  counter.Save(&writer);
+  return writer.buffer();
+}
+
+std::string SaveBytes(const SpaceSavingPool& pool, uint32_t slot) {
+  util::BinaryWriter writer;
+  pool.Save(slot, &writer);
+  return writer.buffer();
+}
+
+// Differential fuzz: a pool slot and a SpaceSavingCounter of the same
+// capacity fed the same Add/Decay sequence stay identical after every step,
+// down to the snapshot bytes (eviction order, tie-break and pruning
+// included). The slot sits between two others, which must stay empty.
+TEST(SpaceSavingPoolTest, MatchesSpaceSavingCounterUnderRandomOps) {
+  for (uint32_t capacity = 1; capacity <= 8; ++capacity) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    util::Rng rng(1000 + capacity);
+    SpaceSavingCounter reference(capacity);
+    SpaceSavingPool pool(capacity);
+    pool.Resize(3);
+    constexpr uint32_t kSlot = 1;
+    const uint32_t key_space = 2 * capacity + 3;
+    for (int step = 0; step < 3000; ++step) {
+      if (rng.NextBool(0.05)) {
+        // Small factors force pruning; 1.0 keeps ties intact.
+        const double factor =
+            rng.NextBool(0.3) ? 1.0 : rng.NextDouble(1e-4, 1.0);
+        reference.Decay(factor);
+        pool.Decay(kSlot, factor);
+      } else {
+        uint32_t key = static_cast<uint32_t>(rng.NextBounded(key_space));
+        if (rng.NextBool(0.05)) key = ~0u - key;  // Extreme keys sort last.
+        // Mostly unit weights, so equal counts (eviction ties) are common.
+        const double weight =
+            rng.NextBool(0.8) ? 1.0 : rng.NextDouble(0.0, 3.0);
+        reference.Add(key, weight);
+        pool.Add(kSlot, key, weight);
+      }
+      ASSERT_EQ(pool.size(kSlot), reference.size()) << "step " << step;
+      ASSERT_EQ(pool.total_weight(kSlot), reference.total_weight());
+      for (uint32_t key = 0; key < key_space; ++key) {
+        for (const uint32_t k : {key, ~0u - key}) {
+          ASSERT_EQ(pool.Find(kSlot, k) != nullptr, reference.IsTracked(k))
+              << "step " << step << " key " << k;
+          ASSERT_EQ(pool.Count(kSlot, k), reference.Count(k))
+              << "step " << step << " key " << k;
+        }
+      }
+      ASSERT_EQ(SaveBytes(pool, kSlot), SaveBytes(reference))
+          << "step " << step;
+      ASSERT_EQ(pool.size(0), 0u);
+      ASSERT_EQ(pool.size(2), 0u);
+      ASSERT_EQ(pool.total_weight(0), 0.0);
+      ASSERT_EQ(pool.total_weight(2), 0.0);
+    }
+  }
+}
+
+TEST(SpaceSavingPoolTest, DecayPrunesOnlyBelowTheBound) {
+  // A counter exactly at the bound survives, as in SpaceSavingCounter.
+  SpaceSavingCounter reference(4);
+  SpaceSavingPool pool(4);
+  pool.Resize(1);
+  for (const double count : {1e-3, 5e-4, 2.0}) {
+    const auto key = static_cast<uint32_t>(count * 1e4);
+    reference.Add(key, count);
+    pool.Add(0, key, count);
+  }
+  reference.Decay(1.0);
+  pool.Decay(0, 1.0);
+  EXPECT_EQ(pool.size(0), 2u);
+  EXPECT_EQ(SaveBytes(pool, 0), SaveBytes(reference));
+}
+
+TEST(SpaceSavingPoolTest, LoadsSpaceSavingCounterSnapshots) {
+  SpaceSavingCounter counter(4);
+  for (uint32_t key : {9u, 3u, 7u, 3u, 12u, 1u, 9u}) counter.Add(key);
+  const std::string bytes = SaveBytes(counter);
+  SpaceSavingPool pool(4);
+  pool.Resize(2);
+  util::BinaryReader reader(bytes);
+  ASSERT_TRUE(pool.Load(1, &reader));
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(SaveBytes(pool, 1), bytes);
+  EXPECT_EQ(pool.Count(1, 9), counter.Count(9));
+}
+
+// Patches the u64 entry count and the keys of a saved 4-capacity slot.
+std::string PatchedSlot(uint64_t num_entries,
+                        const std::vector<uint32_t>& keys) {
+  util::BinaryWriter writer;
+  writer.WriteU32(4);
+  writer.WriteDouble(static_cast<double>(keys.size()));
+  writer.WriteU64(num_entries);
+  for (const uint32_t key : keys) {
+    writer.WriteU32(key);
+    writer.WriteDouble(1.0);
+  }
+  return writer.buffer();
+}
+
+bool LoadsInto(SpaceSavingPool* pool, const std::string& bytes) {
+  util::BinaryReader reader(bytes);
+  const bool ok = pool->Load(0, &reader);
+  if (!ok) {
+    EXPECT_EQ(pool->size(0), 0u);
+    EXPECT_EQ(pool->total_weight(0), 0.0);
+  }
+  return ok;
+}
+
+TEST(SpaceSavingPoolTest, LoadRejectsMalformedSlots) {
+  SpaceSavingPool pool(4);
+  pool.Resize(1);
+  EXPECT_TRUE(LoadsInto(&pool, PatchedSlot(3, {1, 5, 9})));
+  // More entries than the capacity.
+  EXPECT_FALSE(LoadsInto(&pool, PatchedSlot(5, {1, 2, 3, 4, 5})));
+  EXPECT_FALSE(LoadsInto(&pool, PatchedSlot(~0ull, {1, 2, 3, 4})));
+  // Keys not strictly ascending: duplicates and descending order.
+  EXPECT_FALSE(LoadsInto(&pool, PatchedSlot(3, {1, 5, 5})));
+  EXPECT_FALSE(LoadsInto(&pool, PatchedSlot(3, {1, 9, 5})));
+  EXPECT_FALSE(LoadsInto(&pool, PatchedSlot(2, {7, 0})));
+  // Capacity mismatch.
+  SpaceSavingPool wider(5);
+  wider.Resize(1);
+  EXPECT_FALSE(LoadsInto(&wider, PatchedSlot(3, {1, 5, 9})));
+  // Every truncation of a valid slot.
+  const std::string valid = PatchedSlot(4, {1, 5, 9, 11});
+  for (size_t len = 0; len < valid.size(); ++len) {
+    EXPECT_FALSE(LoadsInto(&pool, valid.substr(0, len))) << "len " << len;
+  }
+  EXPECT_TRUE(LoadsInto(&pool, valid));
 }
 
 }  // namespace
